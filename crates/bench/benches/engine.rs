@@ -70,15 +70,34 @@ fn bench_process_switching(r: &mut Runner) {
 /// Per-hop cost of one resume round trip (`advance(1)` = register the
 /// wakeup, dispatch inline until it comes back). With the baton design the
 /// common case never leaves the thread — no context switch, no allocation.
-/// Samples are taken *inside* the process body around each hop, so the
-/// statistics are per round trip rather than per 10k-batch — this is the
-/// number the resume hot path is judged on (median/p99 in
+/// This is the number the resume hot path is judged on (median/p99 in
 /// BENCH_engine.json).
 fn bench_resume_hop(r: &mut Runner) {
+    let samples = sample_advances(r, false);
+    r.record_samples("resume_hop", samples);
+}
+
+/// Per-round-trip cost of the cross-thread baton handoff: two processes
+/// alternate `advance(1)`, so every wakeup belongs to the *other* process
+/// and the baton moves to its OS thread through the rendezvous cell (the
+/// receiver parks, the sender wakes it). One sample is one `advance(1)` of
+/// the first process = two handoffs (there and back), the host cost every
+/// message between simulated PEs pays. Not gated: on a shared vCPU the
+/// time to wake a parked thread varies too much for a budget.
+fn bench_cross_thread_hop(r: &mut Runner) {
+    let samples = sample_advances(r, true);
+    r.record_samples("cross_thread_hop", samples);
+}
+
+/// Time each `advance(1)` of a process, with a second process alternating
+/// with it when `with_peer` is set. Samples are taken *inside* the process
+/// body around each hop, so the statistics are per round trip rather than
+/// per batch. The hop count scales off the runner's iteration knob so smoke
+/// mode (RUCX_BENCH_ITERS=1) stays fast while default runs get a dense
+/// sample.
+fn sample_advances(r: &Runner, with_peer: bool) -> Vec<u64> {
     use std::sync::{Arc, Mutex};
     use std::time::Instant;
-    // Scale hop count off the runner's iteration knob so smoke mode
-    // (RUCX_BENCH_ITERS=1) stays fast while default runs get a dense sample.
     let hops = (r.iters() as usize) * 100;
     let warmup = (r.warmup() as usize) * 100;
     let out: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::with_capacity(hops)));
@@ -96,9 +115,16 @@ fn bench_resume_hop(r: &mut Runner) {
         }
         *sink.lock().unwrap() = samples;
     });
+    if with_peer {
+        sim.spawn("peer", 0, move |ctx| {
+            for _ in 0..warmup + hops {
+                ctx.advance(1);
+            }
+        });
+    }
     sim.run();
     let samples = std::mem::take(&mut *out.lock().unwrap());
-    r.record_samples("resume_hop", samples);
+    samples
 }
 
 /// Per-call cost of the read path (`with_world_ref`): a direct call against
@@ -181,6 +207,7 @@ fn main() {
     bench_event_throughput_oracle(&mut r);
     bench_process_switching(&mut r);
     bench_resume_hop(&mut r);
+    bench_cross_thread_hop(&mut r);
     bench_resume_world_read(&mut r);
     bench_ucp_message(&mut r);
     bench_tag_matching_depth(&mut r);

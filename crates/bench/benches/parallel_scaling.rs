@@ -113,15 +113,18 @@ fn main() {
 
     // Wall-clock scaling of the engine itself: the largest weak point,
     // sequential (shards=1, the oracle-equivalent path) vs sharded. Lands
-    // in BENCH_engine.json alongside the dispatch/resume trajectory.
+    // in BENCH_engine.json alongside the dispatch/resume trajectory; the
+    // row names carry the node and (clamped) shard counts, so a capped
+    // smoke run never overwrites the paper-scale rows.
     let top = max_nodes().max(1);
+    let eff = shards.clamp(1, top);
     let cfg = JacobiConfig::weak(top, Mode::Device);
     let mut r = Runner::from_env();
-    r.bench("jacobi_sharded_weak_s1", || {
+    r.bench(&format!("jacobi_sharded_weak_n{top}_s1"), || {
         run_sharded(JacobiModel::Charm, &cfg, 1);
     });
-    r.bench("jacobi_sharded_weak_sN", || {
-        run_sharded(JacobiModel::Charm, &cfg, shards);
+    r.bench(&format!("jacobi_sharded_weak_n{top}_s{eff}"), || {
+        run_sharded(JacobiModel::Charm, &cfg, eff);
     });
     merge_bench_engine(r.results());
 }

@@ -612,64 +612,27 @@ impl PyProc {
     }
 
     /// `charm.iwait`-style select: suspend until any of `peers` has a
-    /// ready pickled host object, and return `(peer, bytes)`. Ties are
-    /// broken by `peers` order, so the choice is deterministic.
-    pub fn recv_host_any(&mut self, ctx: &mut MCtx, peers: &[usize]) -> (usize, Option<Vec<u8>>) {
-        self.py_overhead(ctx, self.params.py_recv, 1);
-        let (col, idx) = (self.col, self.rank as u64);
-        let scan: Vec<u32> = peers.iter().map(|&p| p as u32).collect();
-        let scan2 = scan.clone();
-        self.pe.pump_until(ctx, move |pe, _| {
-            let st = pe.chare_mut::<ChanState>(col, idx);
-            scan2
-                .iter()
-                .any(|p| st.inbox.get(p).is_some_and(|q| !q.ready.is_empty()))
-        });
-        let st = self.pe.chare_mut::<ChanState>(col, idx);
-        let mut hit = None;
-        for &p in &scan {
-            if let Some(q) = st.inbox.get_mut(&p) {
-                if let Some(payload) = q.ready.pop_front() {
-                    hit = Some((p as usize, payload));
-                    break;
-                }
-            }
-        }
-        match hit {
-            Some((peer, ChanPayload::Inline { bytes, size })) => {
-                let dur = self.params.pickle_cost(size) + self.params.py_wake;
-                self.py_overhead(ctx, dur, 2);
-                (peer, bytes)
-            }
-            Some((_, ChanPayload::ZeroCopy { .. })) => {
-                panic!("recv_host_any on a channel carrying a GPU buffer")
-            }
-            // Unreachable in practice: pump_until returned with a ready
-            // queue and nothing runs in between.
-            None => (self.rank, None),
-        }
-    }
-
-    /// [`PyProc::recv_host_any`] with a virtual-time deadline: suspend
-    /// until any of `peers` has a ready pickled host object *or* the
-    /// deadline passes with nothing ready, in which case `None` is
-    /// returned. A wakeup is scheduled at the deadline so a blocked
-    /// receiver cannot sleep through it; the ready-vs-deadline decision is
-    /// made in virtual time, so it is deterministic. This is what lets the
+    /// ready pickled host object, and return `Some((peer, bytes))`. Ties
+    /// are broken by `peers` order, so the choice is deterministic.
+    ///
+    /// With a virtual-time `deadline`, a wakeup is scheduled at it so a
+    /// blocked receiver cannot sleep through it, and `None` is returned if
+    /// it passes with nothing ready. The ready-vs-deadline decision is made
+    /// in virtual time, so it is deterministic. This is what lets the
     /// service layer's futures frontend detect dead workers instead of
     /// hanging in `gather_all`.
-    pub fn recv_host_any_deadline(
+    pub fn recv_host_any(
         &mut self,
         ctx: &mut MCtx,
         peers: &[usize],
-        deadline: rucx_sim::time::Time,
+        deadline: Option<rucx_sim::time::Time>,
     ) -> Option<(usize, Option<Vec<u8>>)> {
         self.py_overhead(ctx, self.params.py_recv, 1);
         let me = self.rank;
-        if ctx.now() < deadline {
+        if let Some(dl) = deadline.filter(|&dl| ctx.now() < dl) {
             ctx.with_world(move |w, s| {
                 let n = w.ucp.worker(me).notify;
-                s.schedule_at(deadline, move |_, s| s.notify(n));
+                s.schedule_at(dl, move |_, s| s.notify(n));
             });
         }
         let (col, idx) = (self.col, self.rank as u64);
@@ -680,7 +643,7 @@ impl PyProc {
             scan2
                 .iter()
                 .any(|p| st.inbox.get(p).is_some_and(|q| !q.ready.is_empty()))
-                || ctx.now() >= deadline
+                || deadline.is_some_and(|dl| ctx.now() >= dl)
         });
         let st = self.pe.chare_mut::<ChanState>(col, idx);
         let mut hit = None;
@@ -699,7 +662,7 @@ impl PyProc {
                 Some((peer, bytes))
             }
             Some((_, ChanPayload::ZeroCopy { .. })) => {
-                panic!("recv_host_any_deadline on a channel carrying a GPU buffer")
+                panic!("recv_host_any on a channel carrying a GPU buffer")
             }
             None => {
                 // Deadline expired with every scanned inbox empty.
@@ -861,10 +824,10 @@ mod tests {
                 py.send_host(ctx, ch, vec![7, 7]);
             }
             0 => {
-                let hit = py.recv_host_any_deadline(ctx, &[1, 2], us(5_000.0));
+                let hit = py.recv_host_any(ctx, &[1, 2], Some(us(5_000.0)));
                 assert_eq!(hit, Some((1, Some(vec![7, 7]))));
                 let deadline = ctx.now() + us(300.0);
-                let miss = py.recv_host_any_deadline(ctx, &[2], deadline);
+                let miss = py.recv_host_any(ctx, &[2], Some(deadline));
                 assert_eq!(miss, None);
                 assert!(ctx.now() >= deadline, "must sleep to the deadline");
                 *done2.lock() = (true, true);

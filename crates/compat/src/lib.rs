@@ -12,9 +12,9 @@
 //!   shape (no `.unwrap()` plumbing at call sites).
 //! - [`channel`] — unbounded MPSC channels with the `crossbeam::channel`
 //!   surface, used wherever messages can queue (pool job handoff, tests).
-//! - [`rendezvous`] — a one-slot, spin-then-park handoff cell for strictly
-//!   alternating handshakes; the allocation-free primitive under the
-//!   simulation's driver ⇄ process hot path.
+//! - [`rendezvous`] — a one-slot handoff cell with a parking receiver,
+//!   for strictly alternating handshakes; the allocation-free primitive
+//!   under the simulation's driver ⇄ process hot path.
 //! - [`rng`] — splitmix64-seeded xoshiro256++ PRNG with a
 //!   `gen_range`/`fill`-style surface; the single source of randomness for
 //!   workload synthesis and the property harness.

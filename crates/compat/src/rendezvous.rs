@@ -5,18 +5,14 @@
 //! receiver, which parks until it arrives. A general MPSC channel (see
 //! [`crate::channel`]) pays a `VecDeque` plus queue bookkeeping per hop
 //! for capacity it never uses. This cell is the purpose-built alternative:
-//! a single `Mutex<Option<T>>` slot, a `Condvar`, and an atomic
-//! availability hint that lets the receiver wait adaptively before parking
-//! — on an immediate handoff the hop completes without any futex round
-//! trip.
+//! a single `Mutex<Option<T>>` slot and a `Condvar`.
 //!
-//! The pre-park wait strategy depends on the machine: with more than one
-//! CPU the receiver spins (`spin_loop`) so the peer's store is caught
-//! within nanoseconds; on a uniprocessor spinning only *delays* the peer,
-//! so the receiver donates its timeslice (`thread::yield_now`) instead —
-//! strictly serial execution means the sender is typically the only other
-//! runnable thread, so one yield usually schedules it and the handoff is
-//! present on the next check.
+//! The receiver has one wait strategy on every machine: take the slot
+//! lock and, if the slot is empty, park on the condvar. Execution is
+//! strictly serial (only the baton holder runs), so a receiver that
+//! busy-waits only burns a core the sender cannot use, and one that
+//! yields makes its cost depend on the host's core count. The sender
+//! issues the futex wakeup only when the receiver has actually parked.
 //!
 //! Contract: **at most one message outstanding per direction**. Sending
 //! into an occupied slot is a protocol violation and panics. Disconnect
@@ -24,41 +20,10 @@
 //! return `Err(RecvError)` (so a dropped simulation unwinds parked process
 //! threads), dropping the receiver makes `send` fail with the value.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 pub use crate::channel::{RecvError, SendError};
 use crate::sync::{Condvar, Mutex};
-
-/// Nothing to take; keep spinning or park.
-const HINT_EMPTY: u32 = 0;
-/// A value is present *or* the sender is gone: leave the spin loop and
-/// resolve under the lock.
-const HINT_READY: u32 = 1;
-
-/// Bounded spin budget (multicore) before the receiver parks on the
-/// condvar. Sized so an immediate reply (sub-microsecond) is caught while
-/// a genuinely idle receiver reaches the condvar in a few microseconds at
-/// worst.
-const SPIN_LIMIT: u32 = 4096;
-
-/// Bounded yield budget (uniprocessor). Each futile `yield_now` is a
-/// syscall, so this stays small: under serial execution the first yield
-/// normally schedules the peer, and a receiver with no sender coming (a
-/// parked simulated process) reaches the condvar after a handful.
-const YIELD_LIMIT: u32 = 8;
-
-/// Whether this machine can run the two sides of a rendezvous truly in
-/// parallel (cached once; used to pick the pre-park wait strategy).
-fn multicore() -> bool {
-    use std::sync::OnceLock;
-    static MULTICORE: OnceLock<bool> = OnceLock::new();
-    *MULTICORE.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get() > 1)
-            .unwrap_or(false)
-    })
-}
 
 struct Slot<T> {
     value: Option<T>,
@@ -68,9 +33,6 @@ struct Slot<T> {
 }
 
 struct Shared<T> {
-    /// Lock-free mirror of "is there anything for the receiver": written
-    /// under the slot lock, read by the receiver's spin loop.
-    hint: AtomicU32,
     slot: Mutex<Slot<T>>,
     avail: Condvar,
 }
@@ -86,10 +48,9 @@ pub struct RendezvousReceiver<T> {
 }
 
 /// Create a rendezvous cell: a one-slot, single-producer single-consumer
-/// handoff with spin-then-park receives.
+/// handoff with parking receives.
 pub fn rendezvous<T>() -> (RendezvousSender<T>, RendezvousReceiver<T>) {
     let shared = Arc::new(Shared {
-        hint: AtomicU32::new(HINT_EMPTY),
         slot: Mutex::new(Slot {
             value: None,
             sender_alive: true,
@@ -120,11 +81,11 @@ impl<T> RendezvousSender<T> {
             "rendezvous protocol violation: send into an occupied slot"
         );
         s.value = Some(value);
-        self.shared.hint.store(HINT_READY, Ordering::Release);
         let parked = s.receiver_parked;
         drop(s);
-        // A spinning receiver sees the hint; only a parked one needs the
-        // (comparatively expensive) wakeup.
+        // A receiver that has not parked yet finds the value when it takes
+        // the lock; only a parked one needs the (comparatively expensive)
+        // wakeup.
         if parked {
             self.shared.avail.notify_one();
         }
@@ -136,7 +97,6 @@ impl<T> Drop for RendezvousSender<T> {
     fn drop(&mut self) {
         let mut s = self.shared.slot.lock();
         s.sender_alive = false;
-        self.shared.hint.store(HINT_READY, Ordering::Release);
         let parked = s.receiver_parked;
         drop(s);
         if parked {
@@ -146,32 +106,12 @@ impl<T> Drop for RendezvousSender<T> {
 }
 
 impl<T> RendezvousReceiver<T> {
-    /// Take the value, waiting adaptively (spin on multicore, yield on a
-    /// uniprocessor) and then parking until one arrives or the sender is
+    /// Take the value, parking until one arrives or the sender is
     /// dropped.
     pub fn recv(&self) -> Result<T, RecvError> {
-        if self.shared.hint.load(Ordering::Acquire) == HINT_EMPTY {
-            if multicore() {
-                let mut spins = 0;
-                while spins < SPIN_LIMIT && self.shared.hint.load(Ordering::Acquire) == HINT_EMPTY {
-                    std::hint::spin_loop();
-                    spins += 1;
-                }
-            } else {
-                let mut yields = 0;
-                while yields < YIELD_LIMIT && self.shared.hint.load(Ordering::Acquire) == HINT_EMPTY
-                {
-                    std::thread::yield_now();
-                    yields += 1;
-                }
-            }
-        }
-        // Correctness lives entirely below; the wait above is only a fast
-        // path to reach the lock with the value already present.
         let mut s = self.shared.slot.lock();
         loop {
             if let Some(v) = s.value.take() {
-                self.shared.hint.store(HINT_EMPTY, Ordering::Release);
                 return Ok(v);
             }
             if !s.sender_alive {
@@ -181,19 +121,6 @@ impl<T> RendezvousReceiver<T> {
             self.shared.avail.wait(&mut s);
             s.receiver_parked = false;
         }
-    }
-
-    /// Non-blocking take.
-    pub fn try_recv(&self) -> Option<T> {
-        if self.shared.hint.load(Ordering::Acquire) == HINT_EMPTY {
-            return None;
-        }
-        let mut s = self.shared.slot.lock();
-        let v = s.value.take();
-        if v.is_some() {
-            self.shared.hint.store(HINT_EMPTY, Ordering::Release);
-        }
-        v
     }
 }
 
@@ -214,7 +141,6 @@ mod tests {
         let (tx, rx) = rendezvous();
         tx.send(7u32).unwrap();
         assert_eq!(rx.recv(), Ok(7));
-        assert!(rx.try_recv().is_none());
     }
 
     #[test]
@@ -277,7 +203,7 @@ mod tests {
     fn delayed_send_wakes_parked_receiver() {
         let (tx, rx) = rendezvous();
         let h = std::thread::spawn(move || rx.recv().unwrap());
-        // Sleep well past any spin budget so the receiver truly parks.
+        // Sleep long enough that the receiver is parked on the condvar.
         std::thread::sleep(std::time::Duration::from_millis(20));
         tx.send(42u32).unwrap();
         assert_eq!(h.join().unwrap(), 42);

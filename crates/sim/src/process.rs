@@ -16,7 +16,8 @@
 //! overwhelmingly common case), control never leaves the thread — no
 //! context switch, no allocation, no syscall. Only when a *different*
 //! process must run is the baton handed over, through a one-slot
-//! [`rucx_compat::rendezvous`] cell (no queue, no per-message allocation).
+//! [`rucx_compat::rendezvous`] cell (no queue, no per-message allocation):
+//! the receiving thread parks on the cell's condvar until the baton lands.
 //! World access is direct for the same reason: [`ProcCtx::with_world`]
 //! (mutating) and [`ProcCtx::with_world_ref`] (read-only) call the closure
 //! against the core this thread already holds.
@@ -65,7 +66,8 @@ pub struct ProcCtx<W> {
     pub(crate) id: ProcId,
     pub(crate) name: String,
     pub(crate) now: Time,
-    /// Wakeup channel: the baton arrives here when this process is resumed.
+    /// Wakeup cell: this thread parks on it until the baton arrives, i.e.
+    /// until this process is resumed.
     pub(crate) resume_rx: RendezvousReceiver<Box<Core<W>>>,
     /// Verdict channel back to the driver (run completion, panics).
     pub(crate) done_tx: Sender<Verdict<W>>,
@@ -263,13 +265,13 @@ pub(crate) fn blocked_notify(id: u32) -> ProcState {
 
 /// Lease a pooled worker thread to back a simulated process.
 ///
-/// The job spans the process's entire lifetime: it parks until the first
-/// resume delivers the baton, runs the body under `catch_unwind`, and ends
-/// by either dispatching onward (normal completion) or reporting a verdict
-/// to the driver (panic) — after which the worker re-registers with the
-/// pool. A simulation dropped mid-run disconnects the rendezvous cell,
-/// which unwinds the body with [`SimShutdown`] — also returning the worker
-/// to the pool.
+/// The job spans the process's entire lifetime: it parks on its
+/// rendezvous cell until the first resume delivers the baton, runs the
+/// body under `catch_unwind`, and ends by either dispatching onward
+/// (normal completion) or reporting a verdict to the driver (panic) —
+/// after which the worker re-registers with the pool. A simulation
+/// dropped mid-run disconnects the rendezvous cell, which unwinds the body
+/// with [`SimShutdown`] — also returning the worker to the pool.
 pub(crate) fn lease_process<W: Send + 'static>(
     pool: &Arc<ProcessPool>,
     id: ProcId,

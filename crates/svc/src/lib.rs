@@ -294,7 +294,7 @@ impl Frontend {
             return;
         }
         let workers = self.workers.clone();
-        let (_, bytes) = py.recv_host_any(ctx, &workers);
+        let bytes = py.recv_host_any(ctx, &workers, None).and_then(|(_, b)| b);
         let msg = decode(&bytes.expect("svc result payload"));
         match msg {
             SvcMsg::Result { task, checksum } => {
@@ -328,7 +328,7 @@ impl Frontend {
             .min()
             .expect("pending non-empty");
         let workers = self.workers.clone();
-        match py.recv_host_any_deadline(ctx, &workers, dl) {
+        match py.recv_host_any(ctx, &workers, Some(dl)) {
             Some((peer, bytes)) => {
                 let msg = decode(&bytes.expect("svc result payload"));
                 match msg {
@@ -799,12 +799,8 @@ fn worker_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg) {
     let mut datasets: HashMap<u64, Vec<u8>> = HashMap::new();
     let mut done = 0usize;
     while done < CLIENT_RANKS {
-        let (peer, bytes) = match kill_at {
-            Some(t) => match py.recv_host_any_deadline(ctx, &clients, t) {
-                Some(msg) => msg,
-                None => break,
-            },
-            None => py.recv_host_any(ctx, &clients),
+        let Some((peer, bytes)) = py.recv_host_any(ctx, &clients, kill_at) else {
+            break;
         };
         match decode(&bytes.expect("svc control payload")) {
             SvcMsg::Scatter { client, size } => {
