@@ -1,4 +1,5 @@
-//! Shared harness utilities: table printing, JSON result emission, and
+//! Shared harness utilities: the ordered parallel sweep and flag readers
+//! every workload driver uses, table printing, JSON result emission, and
 //! environment-based scaling knobs.
 
 use std::fs;
@@ -7,7 +8,9 @@ use std::path::PathBuf;
 use rucx_compat::json::ToJson;
 
 pub mod attr;
+pub mod flag;
 pub mod scenario;
+pub mod sweep;
 
 /// Directory benchmark results are written to (JSON, one file per figure).
 pub fn out_dir() -> PathBuf {

@@ -391,7 +391,7 @@ impl Default for ShardedOpts {
     fn default() -> Self {
         ShardedOpts {
             shards: 1,
-            backend: Backend::from_env(),
+            backend: Backend::Calendar,
             trace: false,
             trace_capacity: 0,
         }

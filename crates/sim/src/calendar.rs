@@ -12,8 +12,8 @@
 //! holds O(1) events regardless of load. Amortized push/pop is O(1) versus
 //! the heap's O(log n) with a cache miss per level.
 //!
-//! The heap stays available as the *oracle*: `RUCX_SCHED_BACKEND=oracle`
-//! (or [`crate::SimConfig::backend`]) reruns any simulation on the original
+//! The heap stays available as the *oracle*: an explicit [`Backend::Oracle`]
+//! in [`crate::SimConfig::backend`] reruns any simulation on the original
 //! `BinaryHeap`, and the property suite below drives both backends through
 //! identical operation sequences — tie-heavy timestamps, zero-delay pushes
 //! mid-drain, cancellations — asserting identical pop streams.
@@ -499,29 +499,13 @@ impl<W> SchedulerBackend<W> for CalendarQueue<W> {
 }
 
 /// Backend selection carried by [`crate::SimConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Backend {
     /// The calendar queue (default).
+    #[default]
     Calendar,
     /// The original `BinaryHeap` — the determinism oracle.
     Oracle,
-}
-
-impl Backend {
-    /// Default backend, overridable with `RUCX_SCHED_BACKEND=oracle` (or
-    /// `heap`) to rerun any simulation on the sequential oracle queue.
-    pub fn from_env() -> Backend {
-        match std::env::var("RUCX_SCHED_BACKEND").as_deref() {
-            Ok("oracle") | Ok("heap") => Backend::Oracle,
-            _ => Backend::Calendar,
-        }
-    }
-}
-
-impl Default for Backend {
-    fn default() -> Self {
-        Backend::from_env()
-    }
 }
 
 /// Statically-dispatched backend pair the scheduler embeds.

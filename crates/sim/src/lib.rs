@@ -43,11 +43,10 @@
 //! Two mechanisms keep 1536-PE sweeps tractable. The event queue is a
 //! [`calendar::CalendarQueue`] (amortized O(1) push/pop; the original
 //! `BinaryHeap` stays behind the same [`calendar::SchedulerBackend`] trait
-//! as the determinism oracle, selectable via [`SimConfig::backend`] or
-//! `RUCX_SCHED_BACKEND=oracle`). And [`shard::ShardedEngine`] advances
-//! several independent simulations on OS threads under conservative
-//! lookahead windows, exchanging cross-shard envelopes at barriers —
-//! deterministic for any shard count.
+//! as the determinism oracle, selectable via [`SimConfig::backend`]). And
+//! [`shard::ShardedEngine`] advances several independent simulations on OS
+//! threads under conservative lookahead windows, exchanging cross-shard
+//! envelopes at barriers — deterministic for any shard count.
 
 pub mod calendar;
 pub mod pool;

@@ -131,24 +131,22 @@ impl<W: Send + 'static> ProcCtx<W> {
                 }
             }
         }
-        let core = loop {
-            match dispatch(core, Some(id)) {
-                // Our own wakeup was the next thing to run: zero-switch
-                // resume, we still hold the baton.
-                Dispatch::Resumed(core) => break core,
-                // The baton went to another process; park until our wakeup
-                // is dispatched and the baton is handed back to us.
-                Dispatch::HandedOff => break self.recv_core(),
-                // The run ended while we were parked (deadlock, stop, time
-                // limit): return the baton to the driver and park. A later
-                // `run` call may still resume us.
-                Dispatch::Ended(kind, core) => {
-                    let _ = self.done_tx.send(Verdict {
-                        kind,
-                        core: Some(core),
-                    });
-                    break self.recv_core();
-                }
+        let core = match dispatch(core, Some(id)) {
+            // Our own wakeup was the next thing to run: zero-switch resume,
+            // we still hold the baton.
+            Dispatch::Resumed(core) => core,
+            // The baton went to another process; park until our wakeup is
+            // dispatched and the baton is handed back to us.
+            Dispatch::HandedOff => self.recv_core(),
+            // The run ended while we were parked (deadlock, stop, time
+            // limit): return the baton to the driver and park. A later
+            // `run` call may still resume us.
+            Dispatch::Ended(kind, core) => {
+                let _ = self.done_tx.send(Verdict {
+                    kind,
+                    core: Some(core),
+                });
+                self.recv_core()
             }
         };
         self.now = core.sched.now();

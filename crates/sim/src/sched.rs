@@ -164,10 +164,9 @@ impl<W> Default for Scheduler<W> {
 }
 
 impl<W> Scheduler<W> {
-    /// Scheduler on the default queue backend (the calendar queue, unless
-    /// `RUCX_SCHED_BACKEND=oracle` selects the heap oracle).
+    /// Scheduler on the default queue backend (the calendar queue).
     pub fn new() -> Self {
-        Self::with_backend(Backend::from_env())
+        Self::with_backend(Backend::Calendar)
     }
 
     /// Scheduler on an explicit queue backend.

@@ -44,7 +44,7 @@ pub struct SimConfig {
     /// private pool for exact thread accounting in tests.
     pub pool: Arc<ProcessPool>,
     /// Event-queue backend: the calendar queue, or the `BinaryHeap`
-    /// determinism oracle. Defaults to [`Backend::from_env`].
+    /// determinism oracle. Defaults to the calendar queue.
     pub backend: Backend,
 }
 
@@ -53,7 +53,7 @@ impl Default for SimConfig {
         SimConfig {
             stack_size: 512 * 1024,
             pool: ProcessPool::global(),
-            backend: Backend::from_env(),
+            backend: Backend::Calendar,
         }
     }
 }

@@ -43,6 +43,10 @@ pub mod metrics;
 pub const CLIENT_RANKS: usize = 8;
 /// Worker ranks (the remainder of node 1).
 pub const WORKER_RANKS: usize = 4;
+/// Resubmissions allowed per task before it is declared failed.
+pub const MAX_RESUBMIT: u32 = 3;
+/// Consecutive per-worker timeouts before its circuit breaker opens.
+pub const BREAKER_THRESHOLD: u32 = 2;
 
 const MSG_SCATTER: u8 = 1;
 const MSG_SUBMIT: u8 = 2;
@@ -142,8 +146,8 @@ struct Pending {
     client: u64,
     arg: u64,
     worker: usize,
-    /// Virtual-time deadline (0 in legacy mode, which never reads it).
-    deadline: Time,
+    /// Virtual-time deadline (`None` when the frontend has no deadline).
+    deadline: Option<Time>,
     resubmits: u32,
 }
 
@@ -159,21 +163,17 @@ fn bump(ctx: &mut MCtx, m: rucx_sim::Metric) {
 /// With [`Frontend::deadline`] set (the recovery mode; [`LoadCfg`]'s
 /// `deadline_us`), the frontend survives worker failure: tasks that miss
 /// their deadline are resubmitted to a surviving worker (re-scattering the
-/// dataset on demand), each worker carries a circuit breaker that opens
-/// after `breaker_threshold` consecutive timeouts (or immediately on a UCP
-/// endpoint give-up), and a late result for an already-gathered task is
-/// counted as a duplicate — never twice. Results stay byte-identical to a
-/// clean run because [`task_checksum`] is content-pure: any worker
-/// computes the same answer.
+/// dataset on demand, at most [`MAX_RESUBMIT`] times), each worker carries
+/// a circuit breaker that opens after [`BREAKER_THRESHOLD`] consecutive
+/// timeouts (or immediately on a UCP endpoint give-up), and a late result
+/// for an already-gathered task is counted as a duplicate — never twice.
+/// Results stay byte-identical to a clean run because [`task_checksum`] is
+/// content-pure: any worker computes the same answer.
 pub struct Frontend {
     workers: Vec<usize>,
     pending: HashMap<u64, Pending>,
-    /// Per-task deadline; 0 keeps the legacy blocking drain path.
-    pub deadline: Duration,
-    /// Resubmissions allowed per task before it is declared failed.
-    pub max_resubmit: u32,
-    /// Consecutive timeouts before a worker's breaker opens.
-    pub breaker_threshold: u32,
+    /// Per-task deadline; `None` waits for every result without bound.
+    pub deadline: Option<Duration>,
     /// Consecutive timeout count per worker (reset by any result).
     fail_count: HashMap<usize, u32>,
     /// Workers with an open breaker. Never reused: an endpoint give-up
@@ -188,7 +188,7 @@ pub struct Frontend {
     pub results: Vec<(u64, u64)>,
     /// `(task id, submit-to-result latency)` for every gathered task.
     pub latencies: Vec<(u64, Time)>,
-    /// Tasks abandoned after `max_resubmit` or with no eligible worker.
+    /// Tasks abandoned after [`MAX_RESUBMIT`] or with no eligible worker.
     pub failed: Vec<u64>,
 }
 
@@ -197,9 +197,7 @@ impl Frontend {
         Frontend {
             workers,
             pending: HashMap::new(),
-            deadline: 0,
-            max_resubmit: 3,
-            breaker_threshold: 2,
+            deadline: None,
             fail_count: HashMap::new(),
             tripped: HashSet::new(),
             placed: HashSet::new(),
@@ -260,11 +258,7 @@ impl Frontend {
                 client: data.client,
                 arg,
                 worker: data.worker,
-                deadline: if self.deadline > 0 {
-                    now + self.deadline
-                } else {
-                    0
-                },
+                deadline: self.deadline.map(|d| now + d),
                 resubmits: 0,
             },
         );
@@ -284,71 +278,40 @@ impl Frontend {
         self.pending.len()
     }
 
-    /// Block until one result arrives from any worker; record its latency
-    /// and verify the checksum against the client-side expectation. In
-    /// recovery mode ([`Frontend::deadline`] set) the wait is bounded: an
-    /// expired deadline resubmits or fails the overdue tasks instead.
-    pub fn drain_one(&mut self, py: &mut PyProc, ctx: &mut MCtx) {
-        if self.deadline > 0 {
-            self.drain_one_recover(py, ctx);
-            return;
-        }
-        let workers = self.workers.clone();
-        let bytes = py.recv_host_any(ctx, &workers, None).and_then(|(_, b)| b);
-        let msg = decode(&bytes.expect("svc result payload"));
-        match msg {
-            SvcMsg::Result { task, checksum } => {
-                let p = self.pending.remove(&task).expect("result for known task");
-                assert_eq!(
-                    checksum, p.expected,
-                    "task {task} computed a wrong checksum"
-                );
-                self.results.push((task, checksum));
-                self.latencies.push((task, ctx.now() - p.submitted));
-            }
-            _ => panic!("unexpected message on client rank"),
-        }
-    }
-
-    /// One recovery-mode drain step: surface endpoint give-ups, then wait
-    /// for a result until the earliest outstanding deadline. Every call
-    /// either gathers a result, absorbs a duplicate, or expires at least
-    /// one overdue task — so `gather_all` terminates even with every
-    /// worker dead (tasks drain into `failed` once `max_resubmit` and the
+    /// Wait for one result from any worker, record its latency and verify
+    /// the checksum against the client-side expectation. Queued endpoint
+    /// give-ups are surfaced first. With [`Frontend::deadline`] set the
+    /// wait ends at the earliest outstanding deadline, and an expired wait
+    /// resubmits or fails the overdue tasks instead. Every call either
+    /// gathers a result, absorbs a duplicate, or expires at least one
+    /// overdue task — so `gather_all` terminates even with every worker
+    /// dead (tasks drain into `failed` once [`MAX_RESUBMIT`] and the
     /// eligible-worker pool are exhausted).
-    fn drain_one_recover(&mut self, py: &mut PyProc, ctx: &mut MCtx) {
+    pub fn drain_one(&mut self, py: &mut PyProc, ctx: &mut MCtx) {
         self.reap_exceptions(py, ctx);
         if self.pending.is_empty() {
             return;
         }
-        let dl = self
-            .pending
-            .values()
-            .map(|p| p.deadline)
-            .min()
-            .expect("pending non-empty");
+        let dl = self.pending.values().filter_map(|p| p.deadline).min();
         let workers = self.workers.clone();
-        match py.recv_host_any(ctx, &workers, Some(dl)) {
-            Some((peer, bytes)) => {
-                let msg = decode(&bytes.expect("svc result payload"));
-                match msg {
-                    SvcMsg::Result { task, checksum } => match self.pending.remove(&task) {
-                        Some(p) => {
-                            assert_eq!(
-                                checksum, p.expected,
-                                "task {task} computed a wrong checksum"
-                            );
-                            self.fail_count.insert(peer, 0);
-                            self.results.push((task, checksum));
-                            self.latencies.push((task, ctx.now() - p.submitted));
-                        }
-                        // The original worker answered after the task was
-                        // resubmitted and gathered: absorb, never count twice.
-                        None => bump(ctx, metrics::DUP_RESULT),
-                    },
-                    _ => panic!("unexpected message on client rank"),
-                }
-            }
+        match py.recv_host_any(ctx, &workers, dl) {
+            Some((peer, bytes)) => match decode(&bytes.expect("svc result payload")) {
+                SvcMsg::Result { task, checksum } => match self.pending.remove(&task) {
+                    Some(p) => {
+                        assert_eq!(
+                            checksum, p.expected,
+                            "task {task} computed a wrong checksum"
+                        );
+                        self.fail_count.insert(peer, 0);
+                        self.results.push((task, checksum));
+                        self.latencies.push((task, ctx.now() - p.submitted));
+                    }
+                    // The original worker answered after the task was
+                    // resubmitted and gathered: absorb, never count twice.
+                    None => bump(ctx, metrics::DUP_RESULT),
+                },
+                _ => panic!("unexpected message on client rank"),
+            },
             None => self.expire_overdue(py, ctx),
         }
     }
@@ -383,7 +346,7 @@ impl Frontend {
         let mut due: Vec<u64> = self
             .pending
             .iter()
-            .filter(|(_, p)| p.deadline <= now)
+            .filter(|(_, p)| p.deadline.is_some_and(|dl| dl <= now))
             .map(|(&t, _)| t)
             .collect();
         due.sort_unstable();
@@ -395,7 +358,7 @@ impl Frontend {
                 *n += 1;
                 *n
             };
-            if failures >= self.breaker_threshold {
+            if failures >= BREAKER_THRESHOLD {
                 self.trip(ctx, worker);
             }
             self.requeue(py, ctx, task);
@@ -425,7 +388,7 @@ impl Frontend {
                 .filter(|w| !self.tripped.contains(w))
                 .collect();
         }
-        if p.resubmits >= self.max_resubmit || eligible.is_empty() {
+        if p.resubmits >= MAX_RESUBMIT || eligible.is_empty() {
             bump(ctx, metrics::TASK_FAILED);
             self.failed.push(task);
             return;
@@ -447,7 +410,7 @@ impl Frontend {
                 arg: p.arg,
             }),
         );
-        let deadline = ctx.now() + self.deadline;
+        let deadline = self.deadline.map(|d| ctx.now() + d);
         self.pending.insert(
             task,
             Pending {
@@ -487,13 +450,8 @@ pub struct LoadCfg {
     /// Fault-injection spec for chaos runs (`None` = clean).
     pub fault: Option<FaultSpec>,
     /// Per-task deadline in µs arming the recovery layer (resubmission,
-    /// circuit breakers). 0 keeps the legacy blocking drain path — clean
-    /// runs are byte-identical to the pre-recovery code.
+    /// circuit breakers). 0 means no deadline.
     pub deadline_us: f64,
-    /// Resubmissions allowed per task before it is declared failed.
-    pub max_resubmit: u32,
-    /// Consecutive per-worker timeouts before its circuit breaker opens.
-    pub breaker_threshold: u32,
     /// Simulated worker crash: `(worker index, crash time µs)` — that
     /// worker stops serving at the given virtual time. The crash time must
     /// fall after the scatter phase completes, or the in-flight zero-copy
@@ -521,8 +479,6 @@ impl Default for LoadCfg {
             seed: 1,
             fault: None,
             deadline_us: 0.0,
-            max_resubmit: 3,
-            breaker_threshold: 2,
             fail_worker: None,
             trace: false,
             ucp_max_retries: None,
@@ -715,9 +671,7 @@ fn client_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg, workers: &[usize]
         .filter(|c| (*c as usize) % CLIENT_RANKS == rank)
         .collect();
     let mut fe = Frontend::new(workers.to_vec());
-    fe.deadline = us(cfg.deadline_us);
-    fe.max_resubmit = cfg.max_resubmit;
-    fe.breaker_threshold = cfg.breaker_threshold;
+    fe.deadline = Some(us(cfg.deadline_us)).filter(|&d| d > 0);
 
     // Scatter phase: every logical client ships its dataset to its worker.
     // One send buffer per client — the payload must stay valid until the

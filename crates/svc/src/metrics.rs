@@ -20,6 +20,6 @@ pub const BREAKER_OPEN: Metric = Metric::counter("svc.breaker_open");
 /// Results that arrived for a task already gathered (the original worker
 /// answered late, after a resubmission was counted). Never double-counted.
 pub const DUP_RESULT: Metric = Metric::counter("svc.dup_result");
-/// Tasks abandoned after exhausting `max_resubmit` or running out of
+/// Tasks abandoned after exhausting [`crate::MAX_RESUBMIT`] or running out of
 /// eligible workers.
 pub const TASK_FAILED: Metric = Metric::counter("svc.task_failed");

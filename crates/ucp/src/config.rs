@@ -115,11 +115,6 @@ pub struct UcpConfig {
     /// Unanswered keepalive probes tolerated before every envelope parked
     /// on the Dead endpoint is flushed through the hard give-up path.
     pub probe_budget: u32,
-    /// Times one envelope may be parked-and-released across heal cycles
-    /// before exhausting its retransmission budget hard-fails it (0 turns
-    /// the parking layer off: budget exhaustion gives up immediately, the
-    /// pre-health behaviour).
-    pub heal_retries: u32,
 }
 
 impl Default for UcpConfig {
@@ -161,7 +156,6 @@ impl Default for UcpConfig {
             suspect_after: 2,
             keepalive_interval: us(200.0),
             probe_budget: 25,
-            heal_retries: 1,
         }
     }
 }

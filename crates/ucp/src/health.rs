@@ -7,9 +7,8 @@
 //! suspect_after`] mark the endpoint *Suspect*; an envelope exhausting its
 //! whole retransmission budget marks it *Dead* — but instead of abandoning
 //! the envelope immediately, the health layer *parks* it (up to
-//! [`crate::UcpConfig::heal_retries`] times per envelope) and starts a
-//! deterministic keepalive probe loop at [`crate::UcpConfig::
-//! keepalive_interval`]. Probes are unsequenced control envelopes (like
+//! [`HEAL_RETRIES`] times per envelope) and starts a deterministic
+//! keepalive probe loop at [`crate::UcpConfig::keepalive_interval`]. Probes are unsequenced control envelopes (like
 //! acks): they consume no sequence number, travel through the same fault
 //! lottery, and an answered probe — or any data ack — heals the endpoint,
 //! releasing every parked envelope in park order (= sequence order, so the
@@ -20,7 +19,7 @@
 //! count it, and a typed [`crate::UcpError::EndpointTimeout`] carrying the
 //! original attempt count and end-to-end elapsed time surfaces at the
 //! owning worker. Termination is therefore bounded: each envelope survives
-//! at most `heal_retries` park cycles, and each Dead activation at most
+//! at most [`HEAL_RETRIES`] park cycles, and each Dead activation at most
 //! `probe_budget` ticks.
 //!
 //! Exactly-once in-order across partition-heal falls out of parking: a
@@ -42,6 +41,10 @@ use crate::machine::Machine;
 use crate::metrics as m;
 use crate::reliable;
 use crate::worker::MSched;
+
+/// Times one envelope may be parked-and-released across heal cycles before
+/// exhausting its retransmission budget hard-fails it.
+pub const HEAL_RETRIES: u32 = 1;
 
 /// Health of one directed (src, dst) endpoint, as seen by the sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,17 +173,11 @@ pub(crate) fn note_alive(w: &mut Machine, s: &mut MSched, src: usize, dst: usize
 /// the health layer parked it (caller must not give up); `false` sends the
 /// caller to the hard give-up path.
 pub(crate) fn try_park(w: &mut Machine, s: &mut MSched, id: u64) -> bool {
-    let (heal_retries, interval) = {
-        let c = &w.ucp.config;
-        (c.heal_retries, c.keepalive_interval)
-    };
-    if heal_retries == 0 {
-        return false;
-    }
+    let interval = w.ucp.config.keepalive_interval;
     let Some(p) = w.ucp.reliable.inflight_mut(id) else {
         return false;
     };
-    if p.parks >= heal_retries {
+    if p.parks >= HEAL_RETRIES {
         return false;
     }
     p.parks += 1;

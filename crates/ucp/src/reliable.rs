@@ -71,7 +71,7 @@ pub(crate) struct PendingSend {
     /// `elapsed` stamped on a give-up error measures the whole ordeal.
     pub first_sent: Time,
     /// Times the health layer has parked this envelope on a Dead endpoint
-    /// (bounded by [`crate::UcpConfig::heal_retries`]).
+    /// (bounded by [`crate::health::HEAL_RETRIES`]).
     pub parks: u32,
     pub body: TrackedBody,
     /// Model-layer context stamped at send time (routes give-up errors to

@@ -8,8 +8,14 @@
 //! sequential process-thread runtimes, which is how the big node counts
 //! (64, 256, …) stay interactive.
 
+use rucx::bench::flag;
 use rucx::fault::FaultSpec;
 use rucx::jacobi::{run, run_sharded_full, JacobiConfig, JacobiModel, Mode, ShardedOpts};
+
+fn usage(err: &str) -> ! {
+    eprintln!("{err}\nusage: jacobi3d [nodes] [--fault-spec SPEC] [--shards N] [--tune]");
+    std::process::exit(2)
+}
 
 fn main() {
     let mut nodes: usize = 2;
@@ -17,32 +23,20 @@ fn main() {
     let mut shards: Option<usize> = None;
     let mut tune = false;
     let mut args = std::env::args().skip(1);
-    if std::env::var("RUCX_AUTOTUNE").as_deref() == Ok("1") {
-        tune = true;
-    }
     while let Some(a) = args.next() {
-        if a == "--fault-spec" {
-            let spec = args.next().unwrap_or_else(|| {
-                eprintln!("--fault-spec needs a value (e.g. seed=7,drop=0.01)");
-                std::process::exit(2);
-            });
-            fault = Some(FaultSpec::parse(&spec).unwrap_or_else(|e| {
-                eprintln!("bad --fault-spec: {e}");
-                std::process::exit(2);
-            }));
-        } else if a == "--tune" {
-            tune = true;
-        } else if a == "--shards" {
-            let v = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("--shards needs a positive integer");
-                std::process::exit(2);
-            });
-            shards = Some(v);
-        } else if let Ok(n) = a.parse() {
-            nodes = n;
-        } else {
-            eprintln!("usage: jacobi3d [nodes] [--fault-spec SPEC] [--shards N] [--tune]");
-            std::process::exit(2);
+        match a.as_str() {
+            "--fault-spec" => {
+                fault = Some(flag::fault_spec(args.next()).unwrap_or_else(|e| usage(&e)))
+            }
+            "--tune" => tune = true,
+            "--shards" => {
+                shards = Some(flag::positive(&a, args.next()).unwrap_or_else(|e| usage(&e)))
+            }
+            _ => {
+                nodes = a
+                    .parse()
+                    .unwrap_or_else(|_| usage(&format!("unknown argument {a}")))
+            }
         }
     }
     assert!(nodes.is_power_of_two(), "node count must be a power of two");

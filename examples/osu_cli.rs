@@ -13,19 +13,18 @@
 //! cargo run --release --example osu_cli -- coll     --coll bcast --model charm4py
 //! ```
 //!
-//! `--shards N` splits the message-size sweep across N OS threads (each
-//! size is an independent deterministic simulation), merging the points
-//! back in size order — byte-identical output, a fraction of the wall
-//! clock.
+//! `--shards N` runs the message sizes on N threads of the shared sweep
+//! (`rucx::bench::sweep`); every size is its own deterministic
+//! simulation, so the output is byte-identical for every N.
 
+use rucx::bench::{flag, sweep};
 use rucx::coll::Algo;
-use rucx::fault::FaultSpec;
 use rucx::osu::coll_bench::{coll_latency, CollKind};
 use rucx::osu::{bandwidth, bibw, latency, mpi_like, Mode, Model, OsuConfig, Placement, Series};
 
-fn usage() -> ! {
+fn usage(err: &str) -> ! {
     eprintln!(
-        "usage: osu_cli <latency|bw|bibw|coll> [--model charm|ampi|openmpi|charm4py] \
+        "{err}\nusage: osu_cli <latency|bw|bibw|coll> [--model charm|ampi|openmpi|charm4py] \
          [--mode d|h] [--place intra|inter] [--coll allreduce|bcast] \
          [--algo auto|tree|rd|ring|hier] [--no-gdrcopy] [--quick] [--fault-spec SPEC] \
          [--shards N] [--tune] [--json]"
@@ -33,48 +32,31 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Run one full sweep: `sweep(cfg)` over all of `cfg.sizes`, or — with
-/// `shards > 1` — over per-thread strided slices of it, reassembled in
-/// size order. Every size is its own simulation, so the merged series is
-/// byte-identical to the sequential one.
-fn run_sharded_sweep(
+/// Run `series(cfg)` one message size at a time on the shared sweep and
+/// join the points back into one series, in size order.
+fn run_sweep(
     cfg: &OsuConfig,
     shards: usize,
-    sweep: impl Fn(&OsuConfig) -> Series + Sync,
+    series: impl Fn(&OsuConfig) -> Series + Sync,
 ) -> Series {
-    let shards = shards.clamp(1, cfg.sizes.len().max(1));
-    if shards == 1 {
-        return sweep(cfg);
-    }
-    let mut slices: Vec<Series> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|k| {
-                let mut sub = cfg.clone();
-                sub.sizes = cfg.sizes.iter().copied().skip(k).step_by(shards).collect();
-                let sweep = &sweep;
-                scope.spawn(move || sweep(&sub))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let parts = sweep::run(&cfg.sizes, shards, |&size| {
+        series(&OsuConfig {
+            sizes: vec![size],
+            ..cfg.clone()
+        })
     });
-    let mut merged = Series {
-        label: slices[0].label.clone(),
-        unit: slices[0].unit,
-        points: Vec::new(),
-    };
-    for s in &mut slices {
-        merged.points.append(&mut s.points);
+    Series {
+        label: parts[0].label.clone(),
+        unit: parts[0].unit,
+        points: parts.into_iter().flat_map(|s| s.points).collect(),
     }
-    merged.points.sort_by_key(|&(size, _)| size);
-    merged
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let bench = args[0].clone();
+    let Some(bench) = args.first() else {
+        usage("missing benchmark name");
+    };
     let mut model = Model::Ompi;
     let mut mode = Mode::Device;
     let mut place = Placement::IntraNode;
@@ -92,77 +74,55 @@ fn main() {
                     Some("ampi") => Model::Ampi,
                     Some("openmpi") => Model::Ompi,
                     Some("charm4py") => Model::Charm4py,
-                    _ => usage(),
+                    _ => usage("--model needs charm|ampi|openmpi|charm4py"),
                 }
             }
             "--mode" => {
                 mode = match it.next().map(|s| s.as_str()) {
                     Some("d") => Mode::Device,
                     Some("h") => Mode::HostStaging,
-                    _ => usage(),
+                    _ => usage("--mode needs d|h"),
                 }
             }
             "--place" => {
                 place = match it.next().map(|s| s.as_str()) {
                     Some("intra") => Placement::IntraNode,
                     Some("inter") => Placement::InterNode,
-                    _ => usage(),
+                    _ => usage("--place needs intra|inter"),
                 }
             }
             "--coll" => {
                 coll_kind = match it.next().map(|s| s.as_str()) {
                     Some("allreduce") => CollKind::Allreduce,
                     Some("bcast") => CollKind::Bcast,
-                    _ => usage(),
+                    _ => usage("--coll needs allreduce|bcast"),
                 }
             }
-            "--algo" => {
-                algo = match it.next().map(|s| s.as_str()) {
-                    Some("auto") => None,
-                    Some(name) => Some(Algo::parse(name).unwrap_or_else(|| usage())),
-                    None => usage(),
-                }
-            }
+            "--algo" => algo = flag::algo(it.next(), Algo::parse).unwrap_or_else(|e| usage(&e)),
             "--no-gdrcopy" => cfg.machine.ucp.gdrcopy_enabled = false,
             "--tune" => cfg.machine.ucp.autotune = true,
             "--json" => json = true,
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
-            }
+            "--shards" => shards = flag::positive(a, it.next()).unwrap_or_else(|e| usage(&e)),
             "--fault-spec" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                cfg.machine.fault = Some(FaultSpec::parse(spec).unwrap_or_else(|e| {
-                    eprintln!("bad --fault-spec: {e}");
-                    std::process::exit(2);
-                }));
+                cfg.machine.fault = Some(flag::fault_spec(it.next()).unwrap_or_else(|e| usage(&e)))
             }
             "--quick" => {
                 let machine = cfg.machine.clone();
                 cfg = OsuConfig::quick();
                 cfg.machine = machine;
             }
-            _ => usage(),
+            other => usage(&format!("unknown argument {other}")),
         }
     }
 
-    // `RUCX_AUTOTUNE=1` turns the protocol engine's autotuner on without
-    // touching the invocation (CI determinism gates flip it per run).
-    if std::env::var("RUCX_AUTOTUNE").as_deref() == Ok("1") {
-        cfg.machine.ucp.autotune = true;
-    }
-
     let series: Series = match bench.as_str() {
-        "latency" => run_sharded_sweep(&cfg, shards, |c| latency(c, model, mode, place)),
-        "bw" => run_sharded_sweep(&cfg, shards, |c| bandwidth(c, model, mode, place)),
+        "latency" => run_sweep(&cfg, shards, |c| latency(c, model, mode, place)),
+        "bw" => run_sweep(&cfg, shards, |c| bandwidth(c, model, mode, place)),
         "bibw" => match model {
-            Model::Ampi => run_sharded_sweep(&cfg, shards, |c| {
+            Model::Ampi => run_sweep(&cfg, shards, |c| {
                 bibw::bibw_series(c, "AMPI", place, mpi_like::AmpiFactory)
             }),
-            Model::Ompi => run_sharded_sweep(&cfg, shards, |c| {
+            Model::Ompi => run_sweep(&cfg, shards, |c| {
                 bibw::bibw_series(c, "OpenMPI", place, mpi_like::OmpiFactory)
             }),
             _ => {
@@ -175,9 +135,9 @@ fn main() {
                 eprintln!("coll supports --model ampi|openmpi|charm4py");
                 std::process::exit(2);
             }
-            run_sharded_sweep(&cfg, shards, |c| coll_latency(c, model, coll_kind, algo))
+            run_sweep(&cfg, shards, |c| coll_latency(c, model, coll_kind, algo))
         }
-        _ => usage(),
+        other => usage(&format!("unknown benchmark {other}")),
     };
 
     if json {

@@ -6,54 +6,17 @@
 //!     cargo run --release --example scenario_matrix -- [--quick] [--json]
 //!         [--markdown] [--shards N]
 //!
-//! Cells are independent simulations, so `--shards N` farms them out
-//! round-robin over N threads; the merged, sorted output is byte-identical
-//! to a single-threaded run (`scripts/check.sh` gates on this).
+//! Cells are independent simulations, so `--shards N` runs them on N
+//! threads of the shared sweep (`rucx::bench::sweep`), which keeps their
+//! canonical scenario-major order; the output is byte-identical to a
+//! single-threaded run (`scripts/check.sh` gates on this).
 
 use rucx::bench::scenario::{all_cells, run_cell, Cell};
+use rucx::bench::{flag, sweep};
 
-fn usage() -> ! {
-    eprintln!("usage: scenario_matrix [--quick] [--json] [--markdown] [--shards N]");
+fn usage(err: &str) -> ! {
+    eprintln!("{err}\nusage: scenario_matrix [--quick] [--json] [--markdown] [--shards N]");
     std::process::exit(2);
-}
-
-/// Run every cell, optionally sharded. Cells keep their canonical
-/// (scenario-major) order regardless of shard interleaving.
-fn sweep(quick: bool, shards: usize) -> Vec<Cell> {
-    let cells = all_cells();
-    let shards = shards.clamp(1, cells.len());
-    let mut done: Vec<(usize, Cell)> = if shards == 1 {
-        cells
-            .into_iter()
-            .enumerate()
-            .map(|(i, (s, w))| (i, run_cell(s, w, quick)))
-            .collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|k| {
-                    let mine: Vec<(usize, (&str, &str))> = cells
-                        .iter()
-                        .copied()
-                        .enumerate()
-                        .skip(k)
-                        .step_by(shards)
-                        .collect();
-                    scope.spawn(move || {
-                        mine.into_iter()
-                            .map(|(i, (s, w))| (i, run_cell(s, w, quick)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        })
-    };
-    done.sort_by_key(|(i, _)| *i);
-    done.into_iter().map(|(_, c)| c).collect()
 }
 
 fn recovery_summary(c: &Cell) -> String {
@@ -91,18 +54,12 @@ fn main() {
             "--quick" => quick = true,
             "--json" => json = true,
             "--markdown" => markdown = true,
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            _ => usage(),
+            "--shards" => shards = flag::positive(a, it.next()).unwrap_or_else(|e| usage(&e)),
+            other => usage(&format!("unknown argument {other}")),
         }
     }
 
-    let cells = sweep(quick, shards);
+    let cells = sweep::run(&all_cells(), shards, |&(s, w)| run_cell(s, w, quick));
 
     if json {
         let body: Vec<String> = cells.iter().map(Cell::to_json).collect();

@@ -14,11 +14,12 @@
 //! cargo run --release --example svc_bench -- --quick --shards 4
 //! ```
 //!
-//! `--shards N` splits the client-count sweep across N OS threads (each
-//! point is an independent deterministic simulation) with byte-identical
-//! output — the determinism gate in `scripts/check.sh` compares runs and
-//! shard counts.
+//! `--shards N` runs the client counts on N threads of the shared sweep
+//! (`rucx::bench::sweep`); each point is an independent deterministic
+//! simulation, so the output is byte-identical — the determinism gate in
+//! `scripts/check.sh` compares runs and shard counts.
 
+use rucx::bench::{flag, sweep};
 use rucx::svc::{run_load, LoadCfg, LoadResult};
 
 #[derive(Clone)]
@@ -49,9 +50,9 @@ struct Point {
     off: LoadResult,
 }
 
-fn usage() -> ! {
+fn usage(err: &str) -> ! {
     eprintln!(
-        "usage: svc_bench [--clients N[,N...]] [--tasks N] [--data BYTES] \
+        "{err}\nusage: svc_bench [--clients N[,N...]] [--tasks N] [--data BYTES] \
          [--window N] [--seed N] [--quick] [--shards N] [--json]"
     );
     std::process::exit(2)
@@ -75,35 +76,6 @@ fn run_point(cfg: &BenchConfig, clients: usize) -> Point {
         on: load(true),
         off: load(false),
     }
-}
-
-/// The sweep, optionally sharded across threads by client count (each
-/// point is an independent simulation — merged output is byte-identical).
-fn sweep(cfg: &BenchConfig, shards: usize) -> Vec<Point> {
-    let shards = shards.clamp(1, cfg.sweep.len().max(1));
-    let mut points: Vec<Point> = if shards == 1 {
-        cfg.sweep.iter().map(|&c| run_point(cfg, c)).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|k| {
-                    let mine: Vec<usize> =
-                        cfg.sweep.iter().copied().skip(k).step_by(shards).collect();
-                    scope.spawn(move || {
-                        mine.into_iter()
-                            .map(|c| run_point(cfg, c))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        })
-    };
-    points.sort_by_key(|p| p.clients);
-    points
 }
 
 fn mode_json(r: &LoadResult) -> String {
@@ -132,59 +104,32 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--clients" => {
-                let spec = it.next().unwrap_or_else(|| usage());
+                let spec = it.next().unwrap_or_else(|| usage("--clients needs a list"));
                 cfg.sweep = spec
                     .split(',')
-                    .map(|s| s.parse().unwrap_or_else(|_| usage()))
+                    .map(|c| flag::number(a, Some(c)).unwrap_or_else(|e| usage(&e)))
                     .collect();
-                if cfg.sweep.is_empty() {
-                    usage();
-                }
+                // Points print in client-count order whatever order they
+                // were given in.
+                cfg.sweep.sort_unstable();
             }
             "--tasks" => {
-                cfg.tasks_per_client = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
+                cfg.tasks_per_client = flag::positive(a, it.next()).unwrap_or_else(|e| usage(&e))
             }
-            "--data" => {
-                cfg.data_size = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--window" => {
-                cfg.window = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                cfg.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
+            "--data" => cfg.data_size = flag::positive(a, it.next()).unwrap_or_else(|e| usage(&e)),
+            "--window" => cfg.window = flag::positive(a, it.next()).unwrap_or_else(|e| usage(&e)),
+            "--seed" => cfg.seed = flag::number(a, it.next()).unwrap_or_else(|e| usage(&e)),
             "--quick" => {
                 cfg.sweep = vec![16, 64];
                 cfg.tasks_per_client = 8;
             }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
-            }
+            "--shards" => shards = flag::positive(a, it.next()).unwrap_or_else(|e| usage(&e)),
             "--json" => json = true,
-            _ => usage(),
+            other => usage(&format!("unknown argument {other}")),
         }
     }
 
-    let points = sweep(&cfg, shards);
+    let points = sweep::run(&cfg.sweep, shards, |&clients| run_point(&cfg, clients));
     if json {
         let body: Vec<String> = points
             .iter()

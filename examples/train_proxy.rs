@@ -13,14 +13,14 @@
 //! cargo run --release --example train_proxy -- --quick --shards 4
 //! ```
 //!
-//! `--shards N` splits the model-size sweep across N OS threads (each
-//! size is an independent deterministic simulation) with byte-identical
-//! output.
+//! `--shards N` runs the model sizes on N threads of the shared sweep
+//! (`rucx::bench::sweep`); each size is an independent deterministic
+//! simulation, so the output is byte-identical for every N.
 
 use std::sync::Arc;
 
+use rucx::bench::{flag, sweep};
 use rucx::coll::Algo;
-use rucx::fault::FaultSpec;
 use rucx::osu::coll::{allreduce, allreduce_with, CollOp};
 use rucx::osu::mpi_like::{AmpiFactory, OmpiFactory, P2p, RankFactory};
 use rucx::osu::Series;
@@ -59,9 +59,9 @@ impl Default for TrainConfig {
     }
 }
 
-fn usage() -> ! {
+fn usage(err: &str) -> ! {
     eprintln!(
-        "usage: train_proxy [--model ampi|openmpi] [--algo auto|rd|ring|hier] \
+        "{err}\nusage: train_proxy [--model ampi|openmpi] [--algo auto|rd|ring|hier] \
          [--buckets N] [--steps N] [--intensity BYTES_PER_GRAD_BYTE] [--no-overlap] \
          [--quick] [--fault-spec SPEC] \
          [--shards N] [--json]"
@@ -210,43 +210,17 @@ fn step_time<F: RankFactory>(cfg: &TrainConfig, size: u64, factory: F) -> f64 {
     r
 }
 
-/// The sweep, optionally sharded across threads by model size (each size
-/// is an independent simulation — merged output is byte-identical).
+/// The model-size sweep on the shared sweep harness.
 fn sweep(cfg: &TrainConfig, ampi: bool, shards: usize) -> Series {
-    let shards = shards.clamp(1, cfg.sizes.len().max(1));
-    let run_one = |c: &TrainConfig| -> Vec<(u64, f64)> {
-        c.sizes
-            .iter()
-            .map(|&s| {
-                let size = (s / (8 * c.buckets)).max(16) * 8 * c.buckets;
-                let v = if ampi {
-                    step_time(c, size, AmpiFactory)
-                } else {
-                    step_time(c, size, OmpiFactory)
-                };
-                (size, v)
-            })
-            .collect()
-    };
-    let mut points: Vec<(u64, f64)> = if shards == 1 {
-        run_one(cfg)
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|k| {
-                    let mut sub = cfg.clone();
-                    sub.sizes = cfg.sizes.iter().copied().skip(k).step_by(shards).collect();
-                    let run_one = &run_one;
-                    scope.spawn(move || run_one(&sub))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        })
-    };
-    points.sort_by_key(|&(size, _)| size);
+    let points = sweep::run(&cfg.sizes, shards, |&s| {
+        let size = (s / (8 * cfg.buckets)).max(16) * 8 * cfg.buckets;
+        let v = if ampi {
+            step_time(cfg, size, AmpiFactory)
+        } else {
+            step_time(cfg, size, OmpiFactory)
+        };
+        (size, v)
+    });
     Series {
         label: format!(
             "train-proxy {} [{}] {}x{} step time",
@@ -272,36 +246,14 @@ fn main() {
             "--model" => match it.next().map(|s| s.as_str()) {
                 Some("ampi") => ampi = true,
                 Some("openmpi") => ampi = false,
-                _ => usage(),
+                _ => usage("--model needs ampi|openmpi"),
             },
-            "--algo" => {
-                cfg.algo = match it.next().map(|s| s.as_str()) {
-                    Some("auto") => None,
-                    Some(name) => Some(Algo::parse(name).unwrap_or_else(|| usage())),
-                    None => usage(),
-                }
-            }
-            "--buckets" => {
-                cfg.buckets = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--steps" => {
-                cfg.steps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
-            }
+            "--algo" => cfg.algo = flag::algo(it.next(), Algo::parse).unwrap_or_else(|e| usage(&e)),
+            "--buckets" => cfg.buckets = flag::positive(a, it.next()).unwrap_or_else(|e| usage(&e)),
+            "--steps" => cfg.steps = flag::positive(a, it.next()).unwrap_or_else(|e| usage(&e)),
             "--no-overlap" => cfg.overlap = false,
             "--intensity" => {
-                cfg.intensity = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
+                cfg.intensity = flag::positive(a, it.next()).unwrap_or_else(|e| usage(&e))
             }
             "--quick" => {
                 cfg.sizes = vec![256 << 10, 4 << 20];
@@ -309,21 +261,11 @@ fn main() {
                 cfg.warmup = 1;
             }
             "--fault-spec" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                cfg.machine.fault = Some(FaultSpec::parse(spec).unwrap_or_else(|e| {
-                    eprintln!("bad --fault-spec: {e}");
-                    std::process::exit(2);
-                }));
+                cfg.machine.fault = Some(flag::fault_spec(it.next()).unwrap_or_else(|e| usage(&e)))
             }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
-            }
+            "--shards" => shards = flag::positive(a, it.next()).unwrap_or_else(|e| usage(&e)),
             "--json" => json = true,
-            _ => usage(),
+            other => usage(&format!("unknown argument {other}")),
         }
     }
 

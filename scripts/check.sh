@@ -160,13 +160,11 @@ echo "ok: sharded weak/strong sweep runs end to end"
 echo "== protocol engine: autotune determinism gate =="
 cargo build -q --offline --release --example osu_cli
 osu=./target/release/examples/osu_cli
-a=$(RUCX_AUTOTUNE=1 "$osu" latency --quick --json)
-b=$(RUCX_AUTOTUNE=1 "$osu" latency --quick --json)
-c=$(RUCX_AUTOTUNE=1 "$osu" latency --quick --json --shards 2)
-d=$("$osu" latency --quick --json --tune)
+a=$("$osu" latency --quick --json --tune)
+b=$("$osu" latency --quick --json --tune)
+c=$("$osu" latency --quick --json --tune --shards 2)
 [ "$a" = "$b" ] || { echo "FAIL: autotuned OSU JSON differs across runs"; exit 1; }
 [ "$a" = "$c" ] || { echo "FAIL: autotuned OSU JSON differs across shard counts"; exit 1; }
-[ "$a" = "$d" ] || { echo "FAIL: --tune and RUCX_AUTOTUNE=1 disagree"; exit 1; }
 echo "ok: autotuned OSU JSON byte-identical across runs and shard counts"
 
 # ---------------------------------------------------------------------------
